@@ -138,9 +138,8 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
     stats.export(&registry);
 
     // Memoization effectiveness across the whole sweep: the process-wide
-    // probe / calibration-sweep / cache-simulator caches count hits and
-    // misses; publishing them here makes the artifact show the caches
-    // actually carrying load. Absolute values depend on worker count and
+    // probe and calibration-sweep caches count hits and misses; publishing
+    // them here makes the artifact show the caches actually carrying load. Absolute values depend on worker count and
     // process history — the artifact is schema-checked, not byte-diffed.
     for (name, (hits, misses)) in [
         (
@@ -151,7 +150,6 @@ pub fn run_all_on(pool: &cpm_runtime::Pool) -> SweepOutcome {
             "memo.calib_sweep",
             cpm_core::coordinator::Coordinator::calib_sweep_cache_stats(),
         ),
-        ("memo.calibration", cpm_sim::calibration::cache_stats()),
     ] {
         registry.counter(&format!("{name}.hits")).add(hits);
         registry.counter(&format!("{name}.misses")).add(misses);

@@ -96,32 +96,6 @@ pub fn run_perf(quick: bool) -> PerfReport {
     );
 
     {
-        // The same kilocore chip with its island segments fanned out
-        // across a 4-worker pool — the throughput figure the fleet tier
-        // (ROADMAP item 1) builds on. On a single-CPU host this mostly
-        // prices the fan-out overhead; the trajectory is byte-identical
-        // to the serial target either way.
-        let profiles: Vec<_> = WorkloadAssignment::paper_mix(Mix::Mix3, 32)
-            .profiles()
-            .iter()
-            .cloned()
-            .cycle()
-            .take(1024)
-            .collect();
-        let cfg = CmpConfig::with_topology(1024, 64);
-        let assignment = WorkloadAssignment::new(profiles, 64);
-        let mut chip = Chip::new(cfg, &assignment);
-        let mut snap = ChipSnapshot::empty();
-        let pool = cpm_runtime::Pool::new(4);
-        push(
-            "chip_step_1024_sharded",
-            measure(quick, move || {
-                chip.step_pic_into_on(black_box(&mut snap), &pool)
-            }),
-        );
-    }
-
-    {
         // The deterministic cpm-math lane kernels at the kilocore column
         // width, reported per element (the unit the "libm floor"
         // discussion in EXPERIMENTS.md is quoted in). The closure steps a
@@ -234,13 +208,13 @@ pub fn run_perf(quick: bool) -> PerfReport {
     }
 
     {
-        // One full memo-free cache-simulator calibration (260k refs).
+        // One full cache-simulator calibration (260k refs).
         let profile = parsec::blackscholes();
         let cache = CmpConfig::paper_default().cache;
         push(
             "calibration",
             measure(quick, move || {
-                black_box(calibration::calibrate_uncached(&profile, &cache, 7))
+                black_box(calibration::calibrate(&profile, &cache, 7))
             }),
         );
     }

@@ -25,7 +25,7 @@
 //! the guarantee, so the loop keeps its designed dynamics as workloads
 //! shift the true gain.
 
-use cpm_control::{Pid, PidGains};
+use cpm_control::{Pid, PidGains, PidTerms};
 use cpm_obs::{EventPayload, Recorder, SpanId};
 use cpm_power::dvfs::DvfsTable;
 use cpm_power::UtilizationPowerTransducer;
@@ -258,22 +258,26 @@ impl PerIslandController {
 
     /// One control invocation: sense, compute the error, run the PID, move
     /// the frequency state, and return the DVFS index to apply.
+    ///
+    /// A non-finite sensed power or utilization says nothing about the
+    /// plant, and one NaN through `clamp` would pin the frequency state for
+    /// the rest of the run. Such a reading holds the current operating
+    /// point and leaves the PID and gain-estimator state untouched; the
+    /// decision is still recorded, so provenance parentage stays intact.
     pub fn invoke(&mut self, capacity_utilization: Ratio, true_power: Watts) -> usize {
         let measured = self.sense(capacity_utilization, true_power);
-        if self.adaptive {
-            self.learn_gain(measured);
-        }
-        let error = (self.target - measured).value() / self.island_max_power.value();
-        let terms = self.pid.step_terms(error);
-        let u = terms.output;
-        let desired = u / self.plant_gain;
-        let before = self.f_norm;
-        self.f_norm = (self.f_norm + desired.clamp(-self.max_step, self.max_step)).clamp(0.0, 1.0);
-        // Anti-windup: rewind the integral by whatever the slew/range
-        // clamps refused to actuate.
-        let realized = self.f_norm - before;
-        self.pid.back_calculate(u - realized * self.plant_gain);
-        self.prev_f_norm = before;
+        let (error, terms, saturated) =
+            if measured.value().is_finite() && capacity_utilization.value().is_finite() {
+                self.control(measured)
+            } else {
+                let hold = PidTerms {
+                    p: 0.0,
+                    i: 0.0,
+                    d: 0.0,
+                    output: 0.0,
+                };
+                (0.0, hold, false)
+            };
         self.invocations += 1;
         let index = self.current_index();
         let island = self.island.0 as u32;
@@ -291,12 +295,33 @@ impl PerIslandController {
             p_term: terms.p,
             i_term: terms.i,
             d_term: terms.d,
-            output: u,
+            output: terms.output,
             dvfs_index: index as u32,
-            saturated: (realized - desired).abs() > 1e-12,
+            saturated,
         });
         self.step_in_round += 1;
         index
+    }
+
+    /// The control law on a finite measurement: the PID step and the
+    /// frequency move, returning the normalized error, the PID terms, and
+    /// whether the slew/range clamps cut the requested move.
+    fn control(&mut self, measured: Watts) -> (f64, PidTerms, bool) {
+        if self.adaptive {
+            self.learn_gain(measured);
+        }
+        let error = (self.target - measured).value() / self.island_max_power.value();
+        let terms = self.pid.step_terms(error);
+        let u = terms.output;
+        let desired = u / self.plant_gain;
+        let before = self.f_norm;
+        self.f_norm = (self.f_norm + desired.clamp(-self.max_step, self.max_step)).clamp(0.0, 1.0);
+        // Anti-windup: rewind the integral by whatever the slew/range
+        // clamps refused to actuate.
+        let realized = self.f_norm - before;
+        self.pid.back_calculate(u - realized * self.plant_gain);
+        self.prev_f_norm = before;
+        (error, terms, (realized - desired).abs() > 1e-12)
     }
 
     /// One step of the online gain estimator: regress the normalized power
@@ -549,6 +574,42 @@ mod tests {
         pic.set_target(Watts::new(12.0));
         run_loop(&mut pic, &mut island, 30);
         assert_eq!(pic.plant_gain(), 0.79);
+    }
+
+    /// One NaN power reading mid-run must not strand the island at the
+    /// bottom of the table: the invocation holds the operating point, and
+    /// once readings are clean the loop tracks its target again.
+    #[test]
+    fn a_nan_reading_holds_the_point_and_tracking_resumes() {
+        for sensor in [PicSensor::Oracle, PicSensor::Transducer] {
+            let mut pic = controller(sensor);
+            let mut island = FakeIsland::new();
+            let table = DvfsTable::pentium_m();
+            for idx in 0..table.len() {
+                island.apply(idx, &table);
+                pic.observe_calibration(island.capacity_utilization(), island.power());
+            }
+            island.apply(7, &table);
+            pic.set_target(Watts::new(15.0));
+            run_loop(&mut pic, &mut island, 20);
+            let before = pic.current_index();
+            let held = match sensor {
+                PicSensor::Oracle => {
+                    pic.invoke(island.capacity_utilization(), Watts::new(f64::NAN))
+                }
+                PicSensor::Transducer => pic.invoke(Ratio::new(f64::NAN), island.power()),
+            };
+            assert_eq!(held, before, "{sensor:?}: a NaN reading holds the point");
+            island.apply(held, &table);
+            pic.set_target(Watts::new(20.0));
+            let trace = run_loop(&mut pic, &mut island, 30);
+            assert!(pic.current_index() > 0, "{sensor:?}: stuck at index 0");
+            let tail_mean: f64 = trace[20..].iter().sum::<f64>() / 10.0;
+            assert!(
+                (tail_mean - 20.0).abs() < 1.5,
+                "{sensor:?}: steady at {tail_mean} W after a NaN, want ≈20"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,6 @@
 use crate::cache::{Cache, Hierarchy};
 use crate::config::CacheConfig;
 use cpm_workloads::{AddressStream, BenchmarkProfile};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Memory references per kilo-instruction assumed by the calibrator
 /// (≈ 30 % loads+stores — the standard x86 integer mix).
@@ -37,100 +34,10 @@ pub struct MeasuredRates {
     pub l2_miss_ratio: f64,
 }
 
-// ---------------------------------------------------------------------------
-// Memoization
-//
-// Calibration is a pure function of (profile, cache config, seed): the
-// address stream is seeded deterministically and the hierarchy starts cold.
-// Sweep cells that differ only in budget re-run the identical calibration,
-// so we memoize process-wide. The memo key is the exact `Debug` rendering of
-// the inputs — Rust's `{:?}` for `f64` is round-trip exact, so two keys are
-// equal iff the inputs are bit-identical, and a cached value is always
-// bit-identical to recomputation (the workers=1 vs workers=4 byte-
-// determinism gate is unaffected by which thread populates the cache first).
-// The computation runs *outside* the lock; a racing double-compute writes
-// the same bits.
-// ---------------------------------------------------------------------------
-
-static CALIBRATE_MEMO: OnceLock<Mutex<HashMap<String, MeasuredRates>>> = OnceLock::new();
-static SHARED_MEMO: OnceLock<Mutex<HashMap<String, Vec<MeasuredRates>>>> = OnceLock::new();
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Locks a memo cache, recovering a poisoned lock. The caches are only
-/// mutated by whole-entry inserts of already-computed values, so a
-/// panicking prober can never leave a key half-written; treating poison
-/// as fatal would wedge every calibration for the rest of the process
-/// over a panic that already propagated to its own caller.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Test support: panics *while holding* both memo locks (the panic is
-/// caught here), leaving them poisoned exactly as a prober dying
-/// mid-lookup would. Subsequent lookups must recover, not wedge.
-#[doc(hidden)]
-pub fn poison_memo_caches_for_tests() {
-    let cases: [fn(); 2] = [
-        || {
-            let _guard = CALIBRATE_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning calibrate memo");
-        },
-        || {
-            let _guard = SHARED_MEMO.get_or_init(Default::default).lock();
-            panic!("poisoning shared memo");
-        },
-    ];
-    for poison in cases {
-        let _ = std::panic::catch_unwind(poison);
-    }
-}
-
-/// Cumulative (hits, misses) across both calibration memo caches for this
-/// process — exported to the metrics registry by the sweep and trace
-/// drivers so artifacts show the memoization working.
-pub fn cache_stats() -> (u64, u64) {
-    (
-        MEMO_HITS.load(Ordering::Relaxed),
-        MEMO_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-fn private_key(profile: &BenchmarkProfile, cache: &CacheConfig, seed: u64) -> String {
-    format!("{profile:?}|{cache:?}|{seed}")
-}
-
-fn shared_key(profiles: &[BenchmarkProfile], cache: &CacheConfig, seed: u64) -> String {
-    let mut key = String::new();
-    for p in profiles {
-        key.push_str(&format!("{p:?};"));
-    }
-    key.push_str(&format!("|{cache:?}|{seed}"));
-    key
-}
-
 /// Runs `profile`'s address stream through a fresh hierarchy and reports
-/// measured miss rates. Memoized on (profile, cache config, seed); the
-/// cached value is bit-identical to [`calibrate_uncached`].
+/// measured miss rates. A pure function of (profile, cache config, seed):
+/// the stream is seeded deterministically and the hierarchy starts cold.
 pub fn calibrate(profile: &BenchmarkProfile, cache: &CacheConfig, seed: u64) -> MeasuredRates {
-    let memo = CALIBRATE_MEMO.get_or_init(Default::default);
-    let key = private_key(profile, cache, seed);
-    if let Some(&rates) = lock_recover(memo).get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return rates;
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let rates = calibrate_uncached(profile, cache, seed);
-    lock_recover(memo).insert(key, rates);
-    rates
-}
-
-/// The memo-free calibration path: always re-drives the cache simulator.
-pub fn calibrate_uncached(
-    profile: &BenchmarkProfile,
-    cache: &CacheConfig,
-    seed: u64,
-) -> MeasuredRates {
     let mut h = Hierarchy::new(cache);
     let mut stream = AddressStream::new(profile, seed);
     for _ in 0..WARMUP_REFS {
@@ -159,28 +66,7 @@ pub fn calibrate_uncached(
 ///
 /// Address streams are offset per core so distinct cores never alias the
 /// same lines.
-///
-/// Memoized on (profiles, cache config, seed); the cached vector is
-/// bit-identical to [`calibrate_shared_uncached`].
 pub fn calibrate_shared(
-    profiles: &[BenchmarkProfile],
-    cache: &CacheConfig,
-    seed: u64,
-) -> Vec<MeasuredRates> {
-    let memo = SHARED_MEMO.get_or_init(Default::default);
-    let key = shared_key(profiles, cache, seed);
-    if let Some(rates) = lock_recover(memo).get(&key) {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return rates.clone();
-    }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let rates = calibrate_shared_uncached(profiles, cache, seed);
-    lock_recover(memo).insert(key, rates.clone());
-    rates
-}
-
-/// The memo-free shared-L2 calibration path.
-pub fn calibrate_shared_uncached(
     profiles: &[BenchmarkProfile],
     cache: &CacheConfig,
     seed: u64,

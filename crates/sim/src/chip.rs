@@ -1,14 +1,13 @@
 //! The full chip: cores, islands, power, and thermal state, advanced one
-//! control interval at a time.
+//! control interval at a time by a single serial step over the
+//! structure-of-arrays banks of [`crate::soa`].
 
 use crate::config::CmpConfig;
 use crate::soa::{CoreBank, CoreView, IslandBank, IslandView};
 use cpm_power::variation::VariationMap;
-use cpm_runtime::Pool;
 use cpm_thermal::ThermalGrid;
 use cpm_units::{Celsius, CoreId, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::WorkloadAssignment;
-use std::sync::Arc;
 
 /// Per-island observations for one interval — exactly the feedback the
 /// GPM and PICs consume.
@@ -253,19 +252,20 @@ impl Chip {
     /// steady-state stepping allocation-free after the first call. Results
     /// are bit-identical to [`Chip::step`].
     pub fn step_into(&mut self, dt: Seconds, out: &mut ChipSnapshot) {
-        out.core_powers.clear();
         out.islands.clear();
         out.islands.reserve(self.islands.len());
         let mut total_instructions = 0.0;
-        let mut total_dram_bytes = 0.0;
         let contention = self.mem_contention;
+        let width = self.islands.width() as f64;
+        let f_max = self.config.dvfs.max_point().frequency;
 
         // One pass over all cores for the phase sequences (independent
         // per-core streams, so this draws exactly what the per-island walk
-        // would), then one fused CPI+power pass per island segment.
+        // would), then one fused CPI+power pass per island.
         self.cores.advance_phases(dt);
         for i in 0..self.islands.len() {
-            let op = self.config.dvfs.point(self.islands.dvfs_index(i));
+            let dvfs_index = self.islands.dvfs_index(i);
+            let op = self.config.dvfs.point(dvfs_index);
             let frozen = self.islands.take_freeze(i, &self.config.dvfs, dt);
             let leak_mult = self.variation.multiplier(IslandId(i));
             // V²f and the leakage voltage factor are functions of the
@@ -283,135 +283,27 @@ impl Chip {
                 leak_mult,
                 self.thermal.temperatures_deg(),
             );
-            let seg = self.cores.segment(i);
-            out.core_powers.extend_from_slice(seg.core_powers());
-            // Fold DRAM bytes in chip core order — the exact addition
-            // order of the array-of-structs walk.
-            for &b in seg.dram_bytes() {
-                total_dram_bytes += b;
-            }
             total_instructions += totals.instructions;
-            self.push_island_snapshot(out, i, totals, dt);
+            let utilization = Ratio::new(totals.util_sum / width);
+            out.islands.push(IslandSnapshot {
+                island: IslandId(i),
+                power: totals.power,
+                utilization,
+                capacity_utilization: Ratio::new(utilization.value() * (op.frequency / f_max)),
+                instructions: totals.instructions,
+                bips: totals.instructions / dt.value() / 1.0e9,
+                dvfs_index,
+            });
         }
 
-        self.finish_step(dt, out, total_instructions, total_dram_bytes, contention);
-    }
-
-    /// [`Chip::step_pic_into`] with the island segments sharded across
-    /// `pool` (see [`Chip::step_into_on`]).
-    pub fn step_pic_into_on(&mut self, out: &mut ChipSnapshot, pool: &Pool) {
-        self.step_into_on(self.config.pic_interval, out, pool);
-    }
-
-    /// Advances the chip by `dt` with the per-island work sharded across
-    /// `pool`, writing the observations into `out`.
-    ///
-    /// Each island's segment is moved onto the pool whole (phases + CPI +
-    /// power for its cores), then restored and reduced in island order —
-    /// the exact serial reduction order — so trajectories are
-    /// byte-identical to [`Chip::step_into`] at any worker count. Per-core
-    /// phase streams are independent, which is what makes the per-segment
-    /// phase advance order-free.
-    ///
-    /// Unlike the serial path this one allocates per step (boxed pool jobs
-    /// and a temperature snapshot); it exists for large chips where the
-    /// parallelism pays for that overhead many times over.
-    pub fn step_into_on(&mut self, dt: Seconds, out: &mut ChipSnapshot, pool: &Pool) {
-        if pool.workers() <= 1 || self.islands.len() <= 1 {
-            self.step_into(dt, out);
-            return;
-        }
-        let n_islands = self.islands.len();
-        let width = self.islands.width();
-        out.core_powers.clear();
-        out.islands.clear();
-        out.islands.reserve(n_islands);
-        let contention = self.mem_contention;
-        // The job closure is 'static: snapshot the temperatures into a
-        // shared slice and clone the (stack-only) power model.
-        let temps: Arc<[f64]> = Arc::from(self.thermal.temperatures_deg());
-        let power_model = self.config.power.clone();
-
-        // Serial prologue in island order: consume freezes and hoist the
-        // island-constant factors exactly as the serial walk does, then
-        // move each island's segment into its job.
-        let mut jobs = Vec::with_capacity(n_islands);
-        for i in 0..n_islands {
-            let op = self.config.dvfs.point(self.islands.dvfs_index(i));
-            let frozen = self.islands.take_freeze(i, &self.config.dvfs, dt);
-            let leak_mult = self.variation.multiplier(IslandId(i));
-            let terms = self.config.power.island_terms(op);
-            let seg = std::mem::take(&mut self.cores.segments_mut()[i]);
-            jobs.push((i, seg, op.frequency, frozen, terms, leak_mult));
-        }
-        let results = pool.parallel_map(jobs, move |(i, mut seg, freq, frozen, terms, leak)| {
-            seg.advance_phases(dt);
-            let lo = i * width;
-            let totals = seg.step(
-                freq,
-                dt,
-                frozen,
-                contention,
-                &power_model,
-                terms,
-                leak,
-                &temps[lo..lo + seg.len()],
-            );
-            (seg, totals)
-        });
-
-        // Serial epilogue in island order: restore the segments and fold
-        // totals and DRAM bytes in exactly the serial reduction order.
-        let mut total_instructions = 0.0;
+        // Fold DRAM bytes in chip core order — the exact addition order of
+        // the array-of-structs walk.
         let mut total_dram_bytes = 0.0;
-        for (i, (seg, totals)) in results.into_iter().enumerate() {
-            out.core_powers.extend_from_slice(seg.core_powers());
-            for &b in seg.dram_bytes() {
-                total_dram_bytes += b;
-            }
-            self.cores.segments_mut()[i] = seg;
-            total_instructions += totals.instructions;
-            self.push_island_snapshot(out, i, totals, dt);
+        for &b in self.cores.dram_bytes() {
+            total_dram_bytes += b;
         }
-
-        self.finish_step(dt, out, total_instructions, total_dram_bytes, contention);
-    }
-
-    /// Folds one island's [`SegmentTotals`] into its `IslandSnapshot` —
-    /// shared verbatim by the serial and sharded steps so their island
-    /// arithmetic cannot drift apart.
-    fn push_island_snapshot(
-        &self,
-        out: &mut ChipSnapshot,
-        i: usize,
-        totals: crate::soa::SegmentTotals,
-        dt: Seconds,
-    ) {
-        let n = self.islands.width() as f64;
-        let op = self.config.dvfs.point(self.islands.dvfs_index(i));
-        let utilization = Ratio::new(totals.util_sum / n);
-        let f_ratio = op.frequency / self.config.dvfs.max_point().frequency;
-        out.islands.push(IslandSnapshot {
-            island: IslandId(i),
-            power: totals.power,
-            utilization,
-            capacity_utilization: Ratio::new(utilization.value() * f_ratio),
-            instructions: totals.instructions,
-            bips: totals.instructions / dt.value() / 1.0e9,
-            dvfs_index: self.islands.dvfs_index(i),
-        });
-    }
-
-    /// The shared tail of the serial and sharded steps: thermal advance,
-    /// contention feedback, and snapshot bookkeeping.
-    fn finish_step(
-        &mut self,
-        dt: Seconds,
-        out: &mut ChipSnapshot,
-        total_instructions: f64,
-        total_dram_bytes: f64,
-        contention: f64,
-    ) {
+        out.core_powers.clear();
+        out.core_powers.extend_from_slice(self.cores.core_powers());
         self.thermal.step(&out.core_powers, dt);
         self.time += dt;
 
@@ -639,59 +531,6 @@ mod tests {
         let mut b = chip();
         for _ in 0..30 {
             assert_eq!(a.step_pic(), b.step_pic());
-        }
-    }
-
-    /// The sharding contract: a chip stepped with its islands fanned out
-    /// across pool workers produces the identical trajectory — snapshots,
-    /// per-core powers, temperatures, contention feedback — as the serial
-    /// walk, under wandering DVFS (so transition freezes are in play).
-    #[test]
-    fn sharded_step_matches_serial_bitwise() {
-        let cfg = CmpConfig::with_topology(32, 4);
-        let asg = WorkloadAssignment::paper_mix(Mix::Mix3, 32);
-        let mut serial = Chip::new(cfg.clone(), &asg);
-        let mut sharded = Chip::new(cfg, &asg);
-        let pool = Pool::new(4);
-        let mut a = ChipSnapshot::empty();
-        let mut b = ChipSnapshot::empty();
-        for step in 0..60 {
-            if step % 7 == 0 {
-                let island = IslandId(step % 8);
-                let idx = (step * 3) % 8;
-                serial.set_island_dvfs(island, idx);
-                sharded.set_island_dvfs(island, idx);
-            }
-            serial.step_pic_into(&mut a);
-            sharded.step_pic_into_on(&mut b, &pool);
-            assert_eq!(a, b, "step {step}");
-            for (c, (x, y)) in a.core_powers.iter().zip(&b.core_powers).enumerate() {
-                assert_eq!(
-                    x.value().to_bits(),
-                    y.value().to_bits(),
-                    "core {c} power bits, step {step}"
-                );
-            }
-        }
-        assert_eq!(
-            serial.memory_contention().to_bits(),
-            sharded.memory_contention().to_bits()
-        );
-    }
-
-    /// A single-worker pool must take the allocation-free serial path and
-    /// still agree with the pooled result.
-    #[test]
-    fn sharded_step_on_one_worker_is_the_serial_path() {
-        let mut serial = chip();
-        let mut pooled = chip();
-        let pool = Pool::new(1);
-        let mut a = ChipSnapshot::empty();
-        let mut b = ChipSnapshot::empty();
-        for _ in 0..20 {
-            serial.step_pic_into(&mut a);
-            pooled.step_pic_into_on(&mut b, &pool);
-            assert_eq!(a, b);
         }
     }
 }

@@ -58,7 +58,7 @@ pub struct CoreModel {
 }
 
 /// The hoisted per-core factors of the CPI stack for miss rates
-/// `(l1_mpki, l2_mpki)` — shared by [`CoreModel`] and the SoA segment so
+/// `(l1_mpki, l2_mpki)` — shared by [`CoreModel`] and the SoA [`crate::soa::CoreBank`] so
 /// both derive bit-identical columns from the same expressions.
 pub(crate) fn miss_terms(l1_mpki: f64, l2_mpki: f64) -> (f64, f64, f64) {
     (

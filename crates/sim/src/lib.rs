@@ -34,5 +34,5 @@ pub use config::CmpConfig;
 pub use core_model::CoreModel;
 pub use injection::{InjectionSeam, NoInjection};
 pub use island::IslandState;
-pub use soa::{CoreBank, CoreSegment, CoreView, IslandBank, IslandView, SegmentTotals};
+pub use soa::{CoreBank, CoreView, IslandBank, IslandTotals, IslandView};
 pub use stats::TimeSeries;

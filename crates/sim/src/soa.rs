@@ -4,24 +4,21 @@
 //! the right unit of *meaning* — one core, one island — but a 1024-core
 //! step over `Vec<CoreModel>` walks a thousand scattered structs. The
 //! banks here keep every hot scalar in its own contiguous `Vec<f64>` so
-//! [`crate::chip::Chip`] steps an island as one tight loop over a segment
+//! [`crate::chip::Chip`] steps an island as one tight loop over a range
 //! of parallel arrays, fusing the CPI model with the per-island V²f/leakage
 //! power terms.
 //!
-//! A [`CoreBank`] is a list of per-island [`CoreSegment`]s. Each segment
-//! owns its island's columns outright (including its cores' phase streams
-//! and the per-core power/DRAM scratch the chip folds afterwards), so the
-//! chip stepper can move whole segments onto pool workers and restore them
-//! in island order — the sharded step reduces in exactly the serial order.
+//! A [`CoreBank`] is one chip-wide set of columns (and one phase bank) in
+//! core order; island `i` is the core range `i·width..(i+1)·width`.
 //!
-//! Inside a segment the step runs in `LANES`-wide chunks: an elementwise
-//! CPI pass, a power pass through the lane kernels of `cpm-power`, and a
-//! serial fold, with a scalar tail for the remainder. Chunking never
-//! reassociates: the elementwise passes evaluate token-identical
-//! expressions per lane, and every accumulator (island totals, the
-//! chip-order DRAM sum) still receives its additions in the original core
-//! order — so the contract from PR 4 holds unchanged: a [`CoreBank`]
-//! stepped island-by-island is bit-identical to the same cores stepped one
+//! An island step runs in `LANES`-wide chunks starting at the island's
+//! first core: an elementwise CPI pass, a power pass through the lane
+//! kernels of `cpm-power`, and a serial fold, with a scalar tail for the
+//! remainder. Chunking never reassociates: the elementwise passes evaluate
+//! token-identical expressions per lane, and every accumulator (island
+//! totals, the chip-order DRAM sum) still receives its additions in the
+//! original core order — so a [`CoreBank`] stepped island-by-island is
+//! bit-identical to the same cores stepped one
 //! [`CoreModel::step_contended`](crate::core_model::CoreModel::step_contended)
 //! at a time, and an [`IslandBank`] mirrors
 //! [`IslandState`](crate::island::IslandState)'s actuation semantics
@@ -35,16 +32,16 @@ use cpm_units::{Celsius, CoreId, Hertz, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::{BenchmarkProfile, PhaseBank};
 use std::ops::Range;
 
-/// Chunk width of the segment step. Eight `f64`s span two AVX2 registers
+/// Chunk width of the island step. Eight `f64`s span two AVX2 registers
 /// (or four NEON ones); the pass bodies are elementwise over arrays of
 /// this size, which is the shape LLVM's autovectorizer recognizes.
 const LANES: usize = 8;
 
-/// Island-level aggregates of one [`CoreSegment::step`] call — the
+/// Island-level aggregates of one [`CoreBank::step_island`] call — the
 /// quantities `Chip::step_into` folds into an `IslandSnapshot`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegmentTotals {
-    /// Σ core power over the segment.
+pub struct IslandTotals {
+    /// Σ core power over the island.
     pub power: Watts,
     /// Σ per-core utilization (callers divide by the core count).
     pub util_sum: f64,
@@ -52,7 +49,7 @@ pub struct SegmentTotals {
     pub instructions: f64,
 }
 
-/// The island-constant inputs of one segment step, hoisted once per
+/// The island-constant inputs of one island step, hoisted once per
 /// island. All are pure functions of island-constant arguments, so
 /// computing them up front changes nothing bit-wise.
 #[derive(Clone, Copy)]
@@ -66,21 +63,18 @@ struct StepCtx {
     leak_mult: f64,
 }
 
-/// One island's cores in structure-of-arrays form.
+/// All cores of a chip in structure-of-arrays form, in core order.
 ///
 /// Each index holds exactly the state a
 /// [`CoreModel`](crate::core_model::CoreModel) would: the profile's hot
 /// scalars, the (possibly calibrated) miss rates, lifetime accounting, and
 /// the per-core phase sequence. The three `*_scale` arrays are scratch for
-/// the interval's phase samples, filled by [`CoreSegment::advance_phases`]
-/// and consumed by [`CoreSegment::step`]; `core_powers` / `dram_bytes`
+/// the interval's phase samples, filled by [`CoreBank::advance_phases`]
+/// and consumed by [`CoreBank::step_island`]; `core_powers` / `dram_bytes`
 /// are per-core step outputs the chip folds in core order afterwards.
-///
-/// The segment owns everything its step touches, so the chip stepper can
-/// move it onto a pool worker (`std::mem::take` + restore) without any
-/// shared mutable state.
-#[derive(Debug, Clone, Default)]
-pub struct CoreSegment {
+#[derive(Debug, Clone)]
+pub struct CoreBank {
+    width: usize,
     profiles: Vec<BenchmarkProfile>,
     base_cpi: Vec<f64>,
     activity: Vec<f64>,
@@ -101,10 +95,27 @@ pub struct CoreSegment {
     dram_bytes: Vec<f64>,
 }
 
-impl CoreSegment {
-    /// An empty segment.
-    pub fn new() -> Self {
-        Self::default()
+impl CoreBank {
+    /// An empty bank whose islands hold `width` cores each.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "an island needs at least one core");
+        Self {
+            width,
+            profiles: Vec::new(),
+            base_cpi: Vec::new(),
+            activity: Vec::new(),
+            l1_term: Vec::new(),
+            l2_dram: Vec::new(),
+            l2_bytes: Vec::new(),
+            total_instructions: Vec::new(),
+            total_time: Vec::new(),
+            phases: PhaseBank::new(),
+            cpi_scale: Vec::new(),
+            mem_scale: Vec::new(),
+            activity_scale: Vec::new(),
+            core_powers: Vec::new(),
+            dram_bytes: Vec::new(),
+        }
     }
 
     /// Appends the core [`CoreModel::new`](crate::core_model::CoreModel::new)
@@ -128,20 +139,25 @@ impl CoreSegment {
         self.profiles.push(profile);
     }
 
-    /// Number of cores in the segment.
+    /// Number of cores in the bank.
     pub fn len(&self) -> usize {
         self.profiles.len()
     }
 
-    /// Whether the segment holds no cores.
+    /// Whether the bank holds no cores.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
     }
 
+    /// Cores per island.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Advances every core's phase sequence by `dt`, leaving the interval's
     /// samples in the scale scratch arrays. Per-core phase streams are
-    /// independent, so a segment-local pass draws exactly the numbers the
-    /// per-core walk would, regardless of how segments interleave.
+    /// independent, so one whole-chip pass draws exactly the numbers the
+    /// per-core walk would.
     pub fn advance_phases(&mut self, dt: Seconds) {
         self.phases.advance_into(
             dt,
@@ -151,23 +167,23 @@ impl CoreSegment {
         );
     }
 
-    /// Per-core power of the last [`CoreSegment::step`], in segment-core
-    /// order — the thermal model's input for this island's slice.
+    /// Per-core power of the last step of each island, in core order — the
+    /// thermal model's input.
     pub fn core_powers(&self) -> &[Watts] {
         &self.core_powers
     }
 
-    /// Per-core DRAM traffic of the last [`CoreSegment::step`], in bytes.
+    /// Per-core DRAM traffic of the last step of each island, in bytes.
     /// Folding these in core order reproduces the array-of-structs DRAM
     /// sum bit-for-bit (same addends, same addition order).
     pub fn dram_bytes(&self) -> &[f64] {
         &self.dram_bytes
     }
 
-    /// Steps the segment through one interval at frequency `f`, fusing the
-    /// CPI model with the power model whose island-constant `terms` the
-    /// caller hoisted. `temps_deg` is this segment's slice of the die
-    /// temperatures, one per core.
+    /// Steps island `island`'s cores through one interval at frequency
+    /// `f`, fusing the CPI model with the power model whose
+    /// island-constant `terms` the caller hoisted. `temps_deg` is the
+    /// whole chip's die temperatures, one per core.
     ///
     /// The loop runs in `LANES`-wide chunks of three passes — an
     /// elementwise CPI pass, the `cpm-power` lane kernels, a serial fold —
@@ -179,8 +195,9 @@ impl CoreSegment {
     // A params struct would hide the token-for-token identity with the
     // scalar path's signature.
     #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
-    pub fn step(
+    pub fn step_island(
         &mut self,
+        island: usize,
         f: Hertz,
         dt: Seconds,
         frozen: Seconds,
@@ -189,15 +206,16 @@ impl CoreSegment {
         terms: IslandPowerTerms,
         leak_mult: f64,
         temps_deg: &[f64],
-    ) -> SegmentTotals {
+    ) -> IslandTotals {
         assert!(f.value() > 0.0, "core clock must be positive");
         assert!(
             frozen.value() >= 0.0 && frozen <= dt,
             "freeze within interval"
         );
         assert!(dram_latency_mult >= 1.0, "contention can only slow memory");
-        let n = self.len();
-        assert_eq!(temps_deg.len(), n, "one temperature per segment core");
+        assert_eq!(temps_deg.len(), self.len(), "one temperature per core");
+        let lo = island * self.width;
+        let hi = (lo + self.width).min(self.len());
         let avail = dt - frozen;
         let ctx = StepCtx {
             cycles: f.cycles_in(avail),
@@ -208,30 +226,30 @@ impl CoreSegment {
             terms,
             leak_mult,
         };
-        let mut totals = SegmentTotals {
+        let mut totals = IslandTotals {
             power: Watts::ZERO,
             util_sum: 0.0,
             instructions: 0.0,
         };
-        let mut base = 0;
-        while base + LANES <= n {
+        let mut base = lo;
+        while base + LANES <= hi {
             self.step_chunk(base, ctx, power_model, temps_deg, &mut totals);
             base += LANES;
         }
-        for i in base..n {
+        for i in base..hi {
             self.step_one(i, ctx, power_model, temps_deg, &mut totals);
         }
         totals
     }
 
-    /// One `LANES`-wide chunk of [`CoreSegment::step`], in three passes.
+    /// One `LANES`-wide chunk of [`CoreBank::step_island`], in three passes.
     fn step_chunk(
         &mut self,
         base: usize,
         ctx: StepCtx,
         power_model: &CorePowerModel,
         temps_deg: &[f64],
-        totals: &mut SegmentTotals,
+        totals: &mut IslandTotals,
     ) {
         // Pass 1 — the CPI model, elementwise over the lanes (this is the
         // pass LLVM vectorizes: mul/add/div and two clamps, no calls).
@@ -277,16 +295,16 @@ impl CoreSegment {
         }
     }
 
-    /// The scalar tail of [`CoreSegment::step`]: the original unchunked
-    /// per-core body, for the `len % LANES` remainder (and, degenerately,
-    /// whole sub-lane segments).
+    /// The scalar tail of [`CoreBank::step_island`]: the original unchunked
+    /// per-core body, for the `width % LANES` remainder (and, degenerately,
+    /// whole sub-lane islands).
     fn step_one(
         &mut self,
         i: usize,
         ctx: StepCtx,
         power_model: &CorePowerModel,
         temps_deg: &[f64],
-        totals: &mut SegmentTotals,
+        totals: &mut IslandTotals,
     ) {
         let mem = self.mem_scale[i];
         let on_chip = self.base_cpi[i] * self.cpi_scale[i] + self.l1_term[i] * mem;
@@ -316,114 +334,8 @@ impl CoreSegment {
     }
 }
 
-/// All cores of a chip, segmented by island.
-///
-/// Cores pushed in chip order land in `width`-sized [`CoreSegment`]s, so
-/// segment `i` is exactly island `i`'s contiguous core range and the chip
-/// stepper can hand whole segments to pool workers.
-#[derive(Debug, Clone)]
-pub struct CoreBank {
-    width: usize,
-    segments: Vec<CoreSegment>,
-}
-
-impl CoreBank {
-    /// An empty bank whose segments hold `width` cores each (the island
-    /// width).
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "an island needs at least one core");
-        Self {
-            width,
-            segments: Vec::new(),
-        }
-    }
-
-    /// Appends the core [`CoreModel::new`](crate::core_model::CoreModel::new)
-    /// would build for `(profile, seed, stream)`, opening a new segment at
-    /// every island boundary.
-    pub fn push(&mut self, profile: BenchmarkProfile, seed: u64, stream: u64) {
-        if self.len() % self.width == 0 {
-            self.segments.push(CoreSegment::new());
-        }
-        let seg = self
-            .segments
-            .last_mut()
-            .expect("push opened a segment at the island boundary");
-        seg.push(profile, seed, stream);
-    }
-
-    /// Number of cores in the bank.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(CoreSegment::len).sum()
-    }
-
-    /// Whether the bank holds no cores.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Cores per segment (the island width).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Island `i`'s segment.
-    pub fn segment(&self, i: usize) -> &CoreSegment {
-        &self.segments[i]
-    }
-
-    /// Mutable access to the segments, for the sharded chip step's
-    /// take/restore discipline.
-    pub(crate) fn segments_mut(&mut self) -> &mut [CoreSegment] {
-        &mut self.segments
-    }
-
-    /// Advances every core's phase sequence by `dt` (see
-    /// [`CoreSegment::advance_phases`]).
-    pub fn advance_phases(&mut self, dt: Seconds) {
-        for seg in &mut self.segments {
-            seg.advance_phases(dt);
-        }
-    }
-
-    /// Steps island `island`'s segment through one interval (see
-    /// [`CoreSegment::step`]). `temps_deg` is the whole chip's temperature
-    /// array; the island's slice is carved out here.
-    #[allow(clippy::too_many_arguments)] // mirrors step_contended's params
-    pub fn step_island(
-        &mut self,
-        island: usize,
-        f: Hertz,
-        dt: Seconds,
-        frozen: Seconds,
-        dram_latency_mult: f64,
-        power_model: &CorePowerModel,
-        terms: IslandPowerTerms,
-        leak_mult: f64,
-        temps_deg: &[f64],
-    ) -> SegmentTotals {
-        let lo = island * self.width;
-        let seg = &mut self.segments[island];
-        seg.step(
-            f,
-            dt,
-            frozen,
-            dram_latency_mult,
-            power_model,
-            terms,
-            leak_mult,
-            &temps_deg[lo..lo + seg.len()],
-        )
-    }
-
-    /// The segment and in-segment index of chip core `index`.
-    fn locate(&self, index: usize) -> (&CoreSegment, usize) {
-        (&self.segments[index / self.width], index % self.width)
-    }
-}
-
 /// All islands of a chip in structure-of-arrays form: islands own
-/// contiguous, equal-width core segments, so per-island core lists reduce
+/// contiguous, equal-width core ranges, so per-island core lists reduce
 /// to one `width` scalar and [`IslandBank::core_range`].
 #[derive(Debug, Clone)]
 pub struct IslandBank {
@@ -463,7 +375,7 @@ impl IslandBank {
         self.width
     }
 
-    /// The contiguous core-index segment of island `i`.
+    /// The contiguous core-index range of island `i`.
     pub fn core_range(&self, i: usize) -> Range<usize> {
         i * self.width..(i + 1) * self.width
     }
@@ -522,20 +434,17 @@ impl<'a> CoreView<'a> {
 
     /// The benchmark this core runs.
     pub fn profile(&self) -> &'a BenchmarkProfile {
-        let (seg, i) = self.bank.locate(self.index);
-        &seg.profiles[i]
+        &self.bank.profiles[self.index]
     }
 
     /// Cumulative instructions retired.
     pub fn total_instructions(&self) -> f64 {
-        let (seg, i) = self.bank.locate(self.index);
-        seg.total_instructions[i]
+        self.bank.total_instructions[self.index]
     }
 
     /// Cumulative simulated time.
     pub fn total_time(&self) -> Seconds {
-        let (seg, i) = self.bank.locate(self.index);
-        Seconds::new(seg.total_time[i])
+        Seconds::new(self.bank.total_time[self.index])
     }
 }
 
@@ -632,8 +541,7 @@ mod tests {
                     leak_mult,
                     &temps,
                 );
-                let seg = bank.segment(island);
-                for &b in seg.dram_bytes() {
+                for &b in &bank.dram_bytes()[island * width..(island + 1) * width] {
                     bank_dram += b;
                 }
                 let mut power = Watts::ZERO;
@@ -649,7 +557,7 @@ mod tests {
                         leak_mult,
                     );
                     assert_eq!(
-                        seg.core_powers()[c - island * width],
+                        bank.core_powers()[c],
                         p,
                         "core {c} power, width {width}, step {step}"
                     );
@@ -693,12 +601,25 @@ mod tests {
 
     /// Tail handling is where chunked kernels break: every width that is
     /// not a multiple of the lane width — including the 1-core degenerate
-    /// segment and widths straddling one and two chunks — must still match
-    /// the scalar walk bit for bit.
+    /// island and widths straddling one and two chunks — must still match
+    /// the scalar walk bit for bit. Chunks start at each island's first
+    /// core inside the chip-wide columns, so the shapes also cover many
+    /// lane-misaligned island offsets (3 × 5) and the kilocore chip
+    /// (64 × 16).
     #[test]
     fn bank_matches_scalars_at_non_lane_multiple_widths() {
-        for width in [1, 3, 5, 7, 9, 13, 16] {
-            assert_bank_matches_scalars(width, 2, 40);
+        for (width, islands) in [
+            (1, 2),
+            (3, 2),
+            (5, 2),
+            (7, 2),
+            (9, 2),
+            (13, 2),
+            (16, 2),
+            (3, 5),
+            (64, 16),
+        ] {
+            assert_bank_matches_scalars(width, islands, 40);
         }
     }
 
@@ -752,7 +673,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "freeze within interval")]
-    fn segment_rejects_oversized_freeze() {
+    fn island_step_rejects_oversized_freeze() {
         let mut bank = CoreBank::new(1);
         bank.push(parsec::x264(), 1, 0);
         let power_model = CorePowerModel::paper_default();

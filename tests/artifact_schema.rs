@@ -87,7 +87,6 @@ fn perf_artifact_passes_its_schema_gate() {
         "chip_step_8",
         "chip_step_32",
         "chip_step_1024",
-        "chip_step_1024_sharded",
         "math_sin_lane",
         "math_exp_lane",
         "pid_step",
