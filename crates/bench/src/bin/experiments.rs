@@ -5,7 +5,6 @@
 //! experiments all             run everything in paper order, in parallel
 //! experiments trace <cell>    replay one cell with the flight recorder on
 //! experiments explain <cell> [--round R] [--island I]  walk the cause chain
-//! experiments perf [--quick]  time the hot paths, write BENCH_perf.json
 //! experiments scaling [--quick]  kilocore sweep, write BENCH_scaling.json
 //! experiments scenarios [--update-goldens]  fault-injection suite vs goldens
 //! experiments check-schema <artifact> [..]  gate a BENCH/HEALTH json shape
@@ -46,12 +45,6 @@
 //! in `EXPLAIN_<cell>.txt` plus `HEALTH_<cell>.json` (same directory
 //! rules as `trace`).
 //!
-//! `perf` runs the regression-gated performance suite: ns/op for each hot
-//! path (chip step, PID step, MaxBIPS choose, thermal step, cache access,
-//! calibration) plus one single-worker `all` sweep, written to
-//! `BENCH_perf.json` (override with `CPM_PERF_JSON`). `--quick` cuts the
-//! time budget ~10× for the CI smoke lane.
-//!
 //! `scaling` runs the kilocore scaling study: cores ∈ {8…1024} × islands
 //! ∈ {2…16} under the performance-aware two-tier loop, recording ns/op
 //! per core, the GPM/PIC overhead split, and MaxBIPS-vs-two-tier decision
@@ -77,7 +70,6 @@
 //! any missing key.
 
 use cpm_bench::explain::{explain_events, ExplainOptions};
-use cpm_bench::perf::{perf_json, run_perf};
 use cpm_bench::scaling::{run_scaling, scaling_json};
 use cpm_bench::scenario::{run_scenario_suite, scenario_stem, scenarios_json};
 use cpm_bench::schema::{check_schema, ArtifactKind};
@@ -272,28 +264,6 @@ fn explain_cmd(args: &[String]) {
     print!("{}", artifacts.health_text);
 }
 
-fn perf_cmd(args: &[String]) {
-    let mut quick = false;
-    for a in args {
-        match a.as_str() {
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown perf flag `{other}` (expected --quick)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = run_perf(quick);
-    let path = std::env::var("CPM_PERF_JSON").unwrap_or_else(|_| "BENCH_perf.json".to_string());
-    match std::fs::write(&path, perf_json(&report)) {
-        Ok(()) => eprintln!("[perf] written to {path}"),
-        Err(e) => {
-            eprintln!("[perf] failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn scaling_cmd(args: &[String]) {
     let mut quick = false;
     for a in args {
@@ -463,7 +433,6 @@ fn main() {
             println!("  all");
             println!("  trace <policy>@<budget>");
             println!("  explain <policy>@<budget> [--round R] [--island I]");
-            println!("  perf [--quick]");
             println!("  scaling [--quick]");
             println!("  scenarios [--update-goldens]");
             println!("  check-schema <artifact.json> …");
@@ -471,7 +440,6 @@ fn main() {
         Some("all") => run_all_cmd(),
         Some("trace") => trace_cmd(&args[1..]),
         Some("explain") => explain_cmd(&args[1..]),
-        Some("perf") => perf_cmd(&args[1..]),
         Some("scaling") => scaling_cmd(&args[1..]),
         Some("scenarios") => scenarios_cmd(&args[1..]),
         Some("check-schema") => check_schema_cmd(&args[1..]),

@@ -17,8 +17,6 @@
 
 pub mod experiments;
 pub mod explain;
-pub mod microbench;
-pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod scaling;

@@ -14,10 +14,9 @@
 //!   (GPM provision + every PIC invoke) vs one centralized MaxBIPS
 //!   knapsack solve over the same islands and budget.
 //!
-//! Built on [`crate::microbench::measure`] and a `cpm-obs` registry, like
-//! the `perf` suite; the artifact is `BENCH_scaling.json`.
+//! Timings come from a calibrated-batch wall-clock loop (`measure`) and
+//! land on a `cpm-obs` registry; the artifact is `BENCH_scaling.json`.
 
-use crate::microbench::{black_box, measure, Measurement};
 use cpm_control::PidGains;
 use cpm_core::gpm::IslandRange;
 use cpm_core::maxbips::{MaxBips, MaxBipsObservation};
@@ -27,7 +26,58 @@ use cpm_power::LeakageModel;
 use cpm_sim::{Chip, ChipSnapshot, CmpConfig};
 use cpm_units::{IslandId, Ratio, Watts};
 use cpm_workloads::{BenchmarkProfile, Mix, WorkloadAssignment};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// Per-batch target duration; long enough to swamp timer overhead.
+const BATCH_TARGET: Duration = Duration::from_millis(4);
+const WARMUP: Duration = Duration::from_millis(40);
+const SAMPLES: usize = 11;
+
+/// One timed measurement: per-iteration cost across samples.
+#[derive(Debug, Clone, Copy)]
+pub struct Measurement {
+    /// Median per-iteration cost across samples, nanoseconds.
+    pub median_ns: f64,
+    /// Fastest sample's per-iteration cost, nanoseconds.
+    pub min_ns: f64,
+}
+
+/// Warms `f` up, calibrates a batch size that fills a few milliseconds,
+/// times an odd number of batches, and returns the median/min
+/// per-iteration cost. `quick` cuts the time budget ~10× for smoke runs.
+fn measure<R>(quick: bool, mut f: impl FnMut() -> R) -> Measurement {
+    let scale = if quick { 10 } else { 1 };
+
+    // Warm up while calibrating how many iterations fill one batch.
+    let warmup = WARMUP / scale;
+    let start = Instant::now();
+    let mut warm_iters: u64 = 0;
+    while start.elapsed() < warmup || warm_iters == 0 {
+        black_box(f());
+        warm_iters += 1;
+    }
+    let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
+    let batch = ((BATCH_TARGET / scale).as_secs_f64() / per_iter.max(1e-9))
+        .ceil()
+        .max(1.0) as u64;
+
+    let samples = if quick { 5 } else { SAMPLES };
+    let mut per_iter_ns: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect();
+    per_iter_ns.sort_by(|a, b| a.total_cmp(b));
+    Measurement {
+        median_ns: per_iter_ns[samples / 2],
+        min_ns: per_iter_ns[0],
+    }
+}
 
 /// Core counts the study sweeps.
 pub const CORE_COUNTS: &[usize] = &[8, 32, 128, 512, 1024];
@@ -402,7 +452,6 @@ mod tests {
         let m = Measurement {
             median_ns: 1000.0,
             min_ns: 900.0,
-            batch: 64,
         };
         let report = ScalingReport {
             points: vec![ScalingPoint {
@@ -418,7 +467,6 @@ mod tests {
                 maxbips_decision: Measurement {
                     median_ns: 5000.0,
                     min_ns: 4500.0,
-                    batch: 8,
                 },
             }],
             quick: true,

@@ -15,8 +15,6 @@
 pub enum ArtifactKind {
     /// `BENCH_experiments.json` — sweep telemetry from `experiments all`.
     Experiments,
-    /// `BENCH_perf.json` — the regression-gated perf suite.
-    Perf,
     /// `BENCH_scaling.json` — the kilocore scaling study.
     Scaling,
     /// `BENCH_scenarios.json` — the fault-injection scenario suite.
@@ -30,7 +28,6 @@ impl ArtifactKind {
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::Experiments => "experiments",
-            ArtifactKind::Perf => "perf",
             ArtifactKind::Scaling => "scaling",
             ArtifactKind::Scenarios => "scenarios",
             ArtifactKind::Health => "health",
@@ -53,8 +50,6 @@ impl ArtifactKind {
             Some(ArtifactKind::Health)
         } else if base.contains("scenario") {
             Some(ArtifactKind::Scenarios)
-        } else if base.contains("perf") {
-            Some(ArtifactKind::Perf)
         } else if base.contains("scaling") {
             Some(ArtifactKind::Scaling)
         } else if base.contains("experiments") || base.contains("bench") {
@@ -77,24 +72,6 @@ impl ArtifactKind {
                 "\"contexts\"",
                 "\"utilization\"",
                 "\"metrics\"",
-            ],
-            ArtifactKind::Perf => &[
-                "\"targets\"",
-                "\"chip_step_8\"",
-                "\"chip_step_32\"",
-                "\"chip_step_1024\"",
-                "\"math_sin_lane\"",
-                "\"math_exp_lane\"",
-                "\"pid_step\"",
-                "\"maxbips_choose\"",
-                "\"thermal_step_32\"",
-                "\"thermal_step_64\"",
-                "\"thermal_step_128\"",
-                "\"cache_access\"",
-                "\"calibration\"",
-                "\"sweep\"",
-                "\"baseline_seconds\"",
-                "\"speedup\"",
             ],
             ArtifactKind::Scaling => &[
                 "\"schema\": \"cpm-scaling-v1\"",
@@ -174,10 +151,6 @@ mod tests {
         assert_eq!(
             ArtifactKind::infer("BENCH_experiments.json"),
             Some(ArtifactKind::Experiments)
-        );
-        assert_eq!(
-            ArtifactKind::infer("/tmp/out/BENCH_perf.json"),
-            Some(ArtifactKind::Perf)
         );
         assert_eq!(
             ArtifactKind::infer("BENCH_scaling.json"),

@@ -51,8 +51,8 @@ pub enum RuleId {
     /// libm results differ across platforms bit-for-bit, so any such call
     /// on a hot path silently forks the golden trajectories per OS.
     /// Simulation code uses the deterministic `cpm_math` kernels; cold
-    /// analysis paths route through `cpm_math::reference::*`; the
-    /// documented `*_reference` accuracy twins carry waivers.
+    /// analysis paths route through `cpm_math::reference::*`; libm
+    /// accuracy oracles live in `#[cfg(test)]` code, which is exempt.
     MathScope,
     /// Interprocedural determinism taint: a nondeterminism source
     /// (wall-clock, env read, bare libm, ad-hoc RNG seeding, hash
@@ -663,8 +663,8 @@ pub fn check_file(ctx: &FileContext, toks: &[Tok<'_>], raw_lines: &[&str]) -> Ve
         // `.sin()` on a hot path silently re-introduces the per-platform
         // bit drift the deterministic kernels exist to remove; cold paths
         // route through `cpm_math::reference::*` (free functions, so this
-        // method-call pattern does not fire), and the documented
-        // `*_reference` accuracy twins carry the only waivers.
+        // method-call pattern does not fire), and the libm oracles the
+        // kernel-vs-libm tests diff against live in test code.
         if ctx.role == Role::Library
             && !MATH_CRATES.contains(&ctx.crate_name.as_str())
             && !is_test_code(i)

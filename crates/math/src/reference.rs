@@ -7,8 +7,9 @@
 //! libm. Routing them through this module keeps the `math-scope` lint
 //! rule simple: a bare `.sin()`/`.exp()`/`.ln()`/`.powf()` in a library
 //! crate is always a violation, and the handful of legitimate libm uses
-//! are greppable as `reference::` calls (plus the two documented
-//! `*_reference` hot-path twins, which carry waivers).
+//! are greppable as `reference::` calls. The libm oracles that the
+//! kernel-vs-libm trajectory tests diff against live in those tests'
+//! `#[cfg(test)]` modules, which the rule exempts.
 //!
 //! Nothing here is deterministic across platforms. Do not let a value
 //! produced by this module reach a golden digest.

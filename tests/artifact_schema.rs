@@ -8,9 +8,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use cpm_bench::microbench::Measurement;
-use cpm_bench::perf::{perf_json, PerfEntry, PerfReport};
-use cpm_bench::scaling::{scaling_json, ScalingPoint, ScalingReport};
+use cpm_bench::scaling::{scaling_json, Measurement, ScalingPoint, ScalingReport};
 use cpm_bench::scenario::{run_scenario_suite, scenarios_json};
 use cpm_bench::schema::{check_schema, ArtifactKind};
 use cpm_bench::{sweep_json, ExperimentTiming, SweepOutcome};
@@ -29,7 +27,6 @@ fn m(ns: f64) -> Measurement {
     Measurement {
         median_ns: ns,
         min_ns: ns,
-        batch: 1,
     }
 }
 
@@ -80,38 +77,6 @@ fn experiments_artifact_passes_its_schema_gate() {
 }
 
 #[test]
-fn perf_artifact_passes_its_schema_gate() {
-    // Entry names mirror the real suite's target list (the schema table
-    // requires each by name).
-    let names = [
-        "chip_step_8",
-        "chip_step_32",
-        "chip_step_1024",
-        "math_sin_lane",
-        "math_exp_lane",
-        "pid_step",
-        "maxbips_choose",
-        "thermal_step_32",
-        "thermal_step_64",
-        "thermal_step_128",
-        "cache_access",
-        "calibration",
-    ];
-    let report = PerfReport {
-        entries: names
-            .iter()
-            .map(|n| PerfEntry {
-                name: n,
-                m: m(10.0),
-            })
-            .collect(),
-        sweep_seconds: 0.2,
-        quick: true,
-    };
-    assert_clean(ArtifactKind::Perf, &perf_json(&report));
-}
-
-#[test]
 fn scaling_artifact_passes_its_schema_gate() {
     // The schema table pins the kilocore point (`"cores": 1024`).
     let points = [8usize, 1024]
@@ -141,7 +106,6 @@ fn scaling_artifact_passes_its_schema_gate() {
 fn schema_tables_reject_truncated_artifacts() {
     for kind in [
         ArtifactKind::Experiments,
-        ArtifactKind::Perf,
         ArtifactKind::Scaling,
         ArtifactKind::Scenarios,
         ArtifactKind::Health,
