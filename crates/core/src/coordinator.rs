@@ -16,7 +16,13 @@
 //! Before measurement, transducer-sensed CPM runs perform a calibration
 //! sweep: each DVFS level is visited for a couple of PIC intervals while
 //! the utilization↔power pairs are fed to every island's transducer
-//! (standing in for the platform characterization of §II-D/Fig. 6).
+//! (standing in for the platform characterization of §II-D/Fig. 6). The
+//! sweep is open loop, so it runs once per chip construction key per
+//! process and every coordinator replays its observation rows.
+//!
+//! Each stage of the loop has one code path. The fault-injection seam and
+//! the phase profiler are always present: un-faulted runs go through
+//! [`NoInjection`] and unprofiled runs through a no-op profiler.
 
 use crate::gpm::{GlobalPowerManager, IslandFeedback, IslandRange, ProvisioningPolicy};
 use crate::maxbips::{MaxBips, MaxBipsObservation};
@@ -31,21 +37,68 @@ use cpm_control::PidGains;
 use cpm_obs::{ControlPhase, EventPayload, PhaseProfiler, Recorder, Registry, SpanId};
 use cpm_power::variation::VariationMap;
 use cpm_power::EnergyAccount;
-use cpm_sim::{Chip, ChipSnapshot, CmpConfig, InjectionSeam, TimeSeries};
+use cpm_sim::{Chip, ChipSnapshot, CmpConfig, InjectionSeam, NoInjection, TimeSeries};
 use cpm_thermal::HotspotTracker;
 use cpm_units::{Celsius, IslandId, Ratio, Seconds, Watts};
 use cpm_workloads::{Mix, WorkloadAssignment};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Locks a memo cache, recovering a poisoned lock. Both caches are only
-/// mutated by whole-entry inserts of already-computed values, so a
-/// probe/sweep panicking elsewhere can never leave an entry half-written;
-/// wedging every later coordinator over an already-propagated panic would
-/// turn one failed cell into a process-wide outage.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// A process-wide memo of one pure, expensive function of a chip's
+/// construction inputs. The key is the exact `Debug` rendering of those
+/// inputs (`{:?}` for `f64` is round-trip exact), so a cached value is
+/// always bit-identical to recomputation and the workers=1 vs workers=4
+/// byte-determinism gate is unaffected by which thread populates the memo
+/// first. Entries are `Arc`s, so a hit shares the value instead of
+/// deep-copying it.
+struct Memo<T> {
+    map: OnceLock<Mutex<HashMap<String, Arc<T>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<T> Memo<T> {
+    const fn new() -> Self {
+        Self {
+            map: OnceLock::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Locks the map, recovering a poisoned lock. The map is only mutated
+    /// by whole-entry inserts of already-computed values, so a computation
+    /// panicking elsewhere can never leave an entry half-written; wedging
+    /// every later coordinator over an already-propagated panic would turn
+    /// one failed cell into a process-wide outage.
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<T>>> {
+        self.map
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value for `key`, computed (outside the lock) and inserted on a
+    /// miss, and whether it was a hit.
+    fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> T) -> (Arc<T>, bool) {
+        if let Some(v) = self.lock().get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(v), true);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let v = Arc::new(compute());
+        self.lock().insert(key.to_owned(), Arc::clone(&v));
+        (v, false)
+    }
+
+    /// Cumulative (hits, misses) for this process.
+    fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
 }
 
 /// Test support: panics *while holding* each memo lock (caught here),
@@ -55,11 +108,11 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub fn poison_memo_caches_for_tests() {
     let cases: [fn(); 2] = [
         || {
-            let _guard = PROBE_MEMO.get_or_init(Default::default).lock();
+            let _guard = PROBE_MEMO.lock();
             panic!("poisoning probe memo");
         },
         || {
-            let _guard = CALIB_SWEEP_MEMO.get_or_init(Default::default).lock();
+            let _guard = CALIB_SWEEP_MEMO.lock();
             panic!("poisoning calib sweep memo");
         },
     ];
@@ -68,36 +121,77 @@ pub fn poison_memo_caches_for_tests() {
     }
 }
 
-// Reference-power probe memoization. The probe is a pure function of the
-// chip's construction inputs (config, workload assignment, variation map):
-// it runs on a clone of the freshly built chip, so sweep cells that differ
-// only in budget or scheme re-measure the identical value. The memo key is
-// the exact `Debug` rendering of those inputs (`{:?}` for `f64` is
-// round-trip exact), so a cached value is always bit-identical to
-// recomputation and the workers=1 vs workers=4 byte-determinism gate is
-// unaffected by which thread populates the cache first.
-static PROBE_MEMO: OnceLock<Mutex<HashMap<String, Watts>>> = OnceLock::new();
-static PROBE_HITS: AtomicU64 = AtomicU64::new(0);
-static PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Reference-power probe memo. The probe runs on a clone of the freshly
+/// built chip, so sweep cells that differ only in budget or scheme would
+/// otherwise re-measure the identical value.
+static PROBE_MEMO: Memo<Watts> = Memo::new();
 
 /// A completed transducer-calibration sweep: the chip state it left behind
-/// and the per-step `(capacity utilization, power)` observation rows it fed
-/// the PICs (one row per observed interval, islands in order). The sweep is
-/// open loop — a fixed DVFS schedule on the freshly built chip, no
-/// controller in the loop — so it is a pure function of the same
-/// construction key the probe memo uses. A cache hit restores the exact
-/// post-sweep chip state and replays the identical observation sequence
-/// into this coordinator's own PICs, making it bit-identical to re-running
-/// the sweep.
-#[derive(Clone)]
+/// and the per-step `(capacity utilization, power)` observation rows to
+/// feed the PICs (one row per observed interval, islands in order). The
+/// sweep is open loop — a fixed DVFS schedule on the freshly built chip,
+/// no controller in the loop — so it is a pure function of the same
+/// construction key the probe memo uses, and every calibration, fresh or
+/// cached, replays `rows` into its own PICs and takes over `chip`.
 struct CalibSweep {
     chip: Chip,
     rows: Vec<Vec<(Ratio, Watts)>>,
 }
 
-static CALIB_SWEEP_MEMO: OnceLock<Mutex<HashMap<String, CalibSweep>>> = OnceLock::new();
-static CALIB_SWEEP_HITS: AtomicU64 = AtomicU64::new(0);
-static CALIB_SWEEP_MISSES: AtomicU64 = AtomicU64::new(0);
+impl CalibSweep {
+    /// Runs the sweep on `chip`: warm-up, three passes over every DVFS
+    /// level, then a return to the top point.
+    fn run(mut chip: Chip) -> Self {
+        let cfg = chip.config();
+        let (islands, levels, pics_per_gpm) = (cfg.islands(), cfg.dvfs.len(), cfg.pics_per_gpm());
+        let set_all = |chip: &mut Chip, level: usize| {
+            for i in 0..islands {
+                chip.set_island_dvfs(IslandId(i), level);
+            }
+        };
+        let mut snap = ChipSnapshot::empty();
+        let mut rows = Vec::new();
+        // Warm the die to operating temperature first: leakage is strongly
+        // temperature-dependent, so a cold-die calibration would bias the
+        // transducer low and every island would drift above its target.
+        // ~20 GPM intervals at an upper-mid operating point approaches the
+        // thermal steady state the managed run will live at.
+        set_all(&mut chip, (3 * levels) / 4);
+        for _ in 0..20 * pics_per_gpm {
+            chip.step_pic_into(&mut snap);
+        }
+        // Three sweeps over all levels: multiple phase states per level
+        // average the workload noise out of the fit.
+        for round in 0..3 {
+            for step in 0..levels {
+                let level = if round % 2 == 0 {
+                    levels - 1 - step
+                } else {
+                    step
+                };
+                set_all(&mut chip, level);
+                // First interval absorbs the transition freeze; observe the
+                // two following (clean) ones.
+                chip.step_pic_into(&mut snap);
+                for _ in 0..2 {
+                    chip.step_pic_into(&mut snap);
+                    rows.push(
+                        snap.islands
+                            .iter()
+                            .map(|isl| (isl.capacity_utilization, isl.power))
+                            .collect(),
+                    );
+                }
+            }
+        }
+        // Return to the top point.
+        set_all(&mut chip, levels - 1);
+        chip.step_pic_into(&mut snap);
+        Self { chip, rows }
+    }
+}
+
+static CALIB_SWEEP_MEMO: Memo<CalibSweep> = Memo::new();
 
 /// How the PIC senses power (re-exported for the public API).
 pub type SensorMode = PicSensor;
@@ -362,8 +456,19 @@ enum Manager {
         /// separates MaxBIPS from the feedback-driven CPM as workloads
         /// move through phases.
         static_table: Option<Vec<MaxBipsObservation>>,
+        /// The last round's `(budget, knob indices)`. The table is static,
+        /// so the search is re-run only when the round budget changes.
+        plan: Option<(Watts, Vec<usize>)>,
     },
     None,
+}
+
+/// The profiler a coordinator starts with: records nothing.
+struct NoProfiler;
+
+impl PhaseProfiler for NoProfiler {
+    fn enter(&mut self, _phase: ControlPhase) {}
+    fn exit(&mut self, _phase: ControlPhase) {}
 }
 
 /// The two-tier runtime.
@@ -384,11 +489,11 @@ pub struct Coordinator {
     registry: Registry,
     /// Optional die-temperature watchdog observed every PIC interval.
     hotspot: Option<HotspotTracker>,
-    /// Optional fault-injection seam (scenario harness): consulted at the
-    /// sense point before each PIC invocation, the actuate point before
-    /// each DVFS move, and once per GPM round for budget transients and
-    /// controller liveness. `None` costs one branch per step.
-    injection: Option<Box<dyn InjectionSeam + Send>>,
+    /// Fault-injection seam (scenario harness): consulted at the sense
+    /// point before each PIC invocation, the actuate point before each
+    /// DVFS move, and once per GPM round for budget transients and
+    /// controller liveness. Un-faulted runs go through [`NoInjection`].
+    injection: Box<dyn InjectionSeam + Send>,
     /// Memo key shared by the probe and calibration-sweep caches: the exact
     /// `Debug` rendering of the chip's construction inputs.
     memo_key: String,
@@ -405,11 +510,11 @@ pub struct Coordinator {
     /// Provenance round counter for schemes without a GPM invocation
     /// ordinal (MaxBIPS, no-management); cumulative across measurements.
     prov_round: u64,
-    /// Optional wall-clock self-profiler for the sense/decide/actuate
-    /// phases. The coordinator only calls the seam — the implementation
-    /// (and its clock) lives in the bench crate, and nothing it measures
-    /// enters recorded events.
-    profiler: Option<Box<dyn PhaseProfiler + Send>>,
+    /// Wall-clock self-profiler for the sense/decide/actuate phases
+    /// ([`NoProfiler`] until one is attached). The coordinator only calls
+    /// the seam — the implementation (and its clock) lives in the bench
+    /// crate, and nothing it measures enters recorded events.
+    profiler: Box<dyn PhaseProfiler + Send>,
 }
 
 impl Coordinator {
@@ -437,7 +542,8 @@ impl Coordinator {
             chip.variation()
         );
         let (reference_power, probe_cache_hit) =
-            Self::probe_reference_power_memoized(&memo_key, &chip);
+            PROBE_MEMO.get_or_compute(&memo_key, || Self::probe_reference_power_uncached(&chip));
+        let reference_power = *reference_power;
         let budget = cfg.budget_fraction * reference_power;
         let ranges = Self::island_ranges(&chip);
         let floor: Watts = ranges.iter().map(|r| r.floor).sum();
@@ -492,6 +598,7 @@ impl Coordinator {
             ManagementScheme::MaxBips => Manager::MaxBips {
                 mb: MaxBips::new(cfg.cmp.dvfs.clone()),
                 static_table: None,
+                plan: None,
             },
             ManagementScheme::NoManagement => Manager::None,
         };
@@ -507,14 +614,14 @@ impl Coordinator {
             recorder: Recorder::disabled(),
             registry: Registry::new(),
             hotspot: None,
-            injection: None,
+            injection: Box::new(NoInjection),
             memo_key,
             probe_cache_hit,
             calib_sweep_hit: None,
             memo_published: false,
             dropped_baseline: 0,
             prov_round: 0,
-            profiler: None,
+            profiler: Box::new(NoProfiler),
         })
     }
 
@@ -562,22 +669,22 @@ impl Coordinator {
         self.hotspot.as_ref()
     }
 
-    /// Attaches a fault-injection seam. During measurement the seam
-    /// filters every island's sensed `(utilization, power)` pair before
-    /// its PIC sees it, every requested DVFS move before it is applied,
-    /// and is polled each GPM round for budget transients (clamped to the
-    /// chip's idle floor) and per-island controller failure — a failed
-    /// island's PIC is skipped entirely (no sensing, control, or rezero)
-    /// and the GPM fails over around its uncontrolled draw. Calibration
-    /// and settle-in run un-faulted: scenarios perturb the measured
-    /// story, not the characterization that precedes it.
+    /// Replaces the fault-injection seam (initially [`NoInjection`], which
+    /// `set_injection(Box::new(NoInjection))` restores). During
+    /// measurement the seam filters every island's sensed `(utilization,
+    /// power)` pair before its PIC sees it, every requested DVFS move
+    /// before it is applied, and is polled each GPM round for budget
+    /// transients and per-island controller failure — a failed island's
+    /// PIC is skipped entirely (no sensing, control, or rezero) and the GPM
+    /// fails over around its uncontrolled draw. A finite budget transient
+    /// below the chip's idle floor is clamped to the floor; a non-finite
+    /// one holds the nominal budget for that round. The GPM is returned to
+    /// the nominal budget with every island alive at the end of each
+    /// measurement. Calibration and settle-in run un-faulted: scenarios
+    /// perturb the measured story, not the characterization that precedes
+    /// it.
     pub fn set_injection(&mut self, seam: Box<dyn InjectionSeam + Send>) {
-        self.injection = Some(seam);
-    }
-
-    /// Detaches the fault-injection seam, restoring un-faulted stepping.
-    pub fn clear_injection(&mut self) {
-        self.injection = None;
+        self.injection = seam;
     }
 
     /// Attaches a control-phase wall-clock profiler: during measurement
@@ -586,30 +693,13 @@ impl Coordinator {
     /// with `enter`/`exit` calls. Profiler output never enters recorded
     /// events or byte-diffed artifacts — see [`cpm_obs::PhaseProfiler`].
     pub fn set_profiler(&mut self, profiler: Box<dyn PhaseProfiler + Send>) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Memoized front end for the reference-power probe. Returns the probe
-    /// value and whether it came from the cache.
-    fn probe_reference_power_memoized(key: &str, chip: &Chip) -> (Watts, bool) {
-        let memo = PROBE_MEMO.get_or_init(Default::default);
-        if let Some(&w) = lock_recover(memo).get(key) {
-            PROBE_HITS.fetch_add(1, Ordering::Relaxed);
-            return (w, true);
-        }
-        PROBE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let w = Self::probe_reference_power_uncached(chip);
-        lock_recover(memo).insert(key.to_owned(), w);
-        (w, false)
+        self.profiler = profiler;
     }
 
     /// Cumulative (hits, misses) of the reference-power probe memo cache
     /// for this process.
     pub fn probe_cache_stats() -> (u64, u64) {
-        (
-            PROBE_HITS.load(Ordering::Relaxed),
-            PROBE_MISSES.load(Ordering::Relaxed),
-        )
+        PROBE_MEMO.stats()
     }
 
     /// Measures the chip's *required* power: a deterministic unmanaged
@@ -744,95 +834,27 @@ impl Coordinator {
         if self.cfg.sensor == SensorMode::Oracle {
             return;
         }
-        // The sweep below is open loop (fixed DVFS schedule, fresh chip),
-        // so its chip trajectory and observation rows are a pure function
-        // of the construction key. Replay a cached sweep when one exists.
-        let memo = CALIB_SWEEP_MEMO.get_or_init(Default::default);
-        let cached = lock_recover(memo).get(&self.memo_key).cloned();
-        if let Some(sweep) = cached {
-            CALIB_SWEEP_HITS.fetch_add(1, Ordering::Relaxed);
-            self.calib_sweep_hit = Some(true);
-            for row in &sweep.rows {
-                for (pic, &(u, p)) in pics.iter_mut().zip(row) {
-                    pic.observe_calibration(u, p);
-                }
-            }
-            for pic in pics.iter_mut() {
-                pic.reset();
-            }
-            self.chip = sweep.chip;
-            return;
-        }
-        CALIB_SWEEP_MISSES.fetch_add(1, Ordering::Relaxed);
-        self.calib_sweep_hit = Some(false);
-        let mut rows: Vec<Vec<(Ratio, Watts)>> = Vec::new();
-        let levels = self.cfg.cmp.dvfs.len();
-        // Warm the die to operating temperature first: leakage is strongly
-        // temperature-dependent, so a cold-die calibration would bias the
-        // transducer low and every island would drift above its target.
-        // ~20 GPM intervals at an upper-mid operating point approaches the
-        // thermal steady state the managed run will live at.
-        let warm_level = (3 * levels) / 4;
-        let mut snap = ChipSnapshot::empty();
-        for i in 0..self.cfg.cmp.islands() {
-            self.chip.set_island_dvfs(IslandId(i), warm_level);
-        }
-        for _ in 0..20 * self.cfg.cmp.pics_per_gpm() {
-            self.chip.step_pic_into(&mut snap);
-        }
-        // Three sweeps over all levels: multiple phase states per level
-        // average the workload noise out of the fit.
-        for round in 0..3 {
-            for step in 0..levels {
-                let level = if round % 2 == 0 {
-                    levels - 1 - step
-                } else {
-                    step
-                };
-                for i in 0..self.cfg.cmp.islands() {
-                    self.chip.set_island_dvfs(IslandId(i), level);
-                }
-                // First interval absorbs the transition freeze; observe the
-                // two following (clean) ones.
-                self.chip.step_pic_into(&mut snap);
-                for _ in 0..2 {
-                    self.chip.step_pic_into(&mut snap);
-                    for (pic, isl) in pics.iter_mut().zip(&snap.islands) {
-                        pic.observe_calibration(isl.capacity_utilization, isl.power);
-                    }
-                    rows.push(
-                        snap.islands
-                            .iter()
-                            .map(|isl| (isl.capacity_utilization, isl.power))
-                            .collect(),
-                    );
-                }
+        // The sweep is open loop (fixed DVFS schedule, fresh chip), so a
+        // cached sweep for this construction key is the sweep itself.
+        let (sweep, hit) =
+            CALIB_SWEEP_MEMO.get_or_compute(&self.memo_key, || CalibSweep::run(self.chip.clone()));
+        self.calib_sweep_hit = Some(hit);
+        for row in &sweep.rows {
+            for (pic, &(u, p)) in pics.iter_mut().zip(row) {
+                pic.observe_calibration(u, p);
             }
         }
-        // Return to the top point and give every PIC a clean start.
-        for i in 0..self.cfg.cmp.islands() {
-            self.chip.set_island_dvfs(IslandId(i), levels - 1);
-        }
-        self.chip.step_pic_into(&mut snap);
+        // Give every PIC a clean start.
         for pic in pics.iter_mut() {
             pic.reset();
         }
-        lock_recover(memo).insert(
-            self.memo_key.clone(),
-            CalibSweep {
-                chip: self.chip.clone(),
-                rows,
-            },
-        );
+        self.chip = sweep.chip.clone();
     }
 
     /// Cumulative (hits, misses) of the calibration-sweep memo cache for
     /// this process.
     pub fn calib_sweep_cache_stats() -> (u64, u64) {
-        (
-            CALIB_SWEEP_HITS.load(Ordering::Relaxed),
-            CALIB_SWEEP_MISSES.load(Ordering::Relaxed),
-        )
+        CALIB_SWEEP_MEMO.stats()
     }
 
     /// Settle-in: one unrecorded GPM interval during which the PICs pull
@@ -927,9 +949,6 @@ impl Coordinator {
         let mut acc_cap_util = vec![0.0f64; islands];
         let mut acc_peak_temp = vec![0.0f64; islands];
         let mut have_feedback = false;
-        // Per-round controller-liveness flags from the injection seam
-        // (all false when no seam is attached).
-        let mut island_failed = vec![false; islands];
         // One snapshot buffer for the whole measurement: the per-step hot
         // loop below performs no heap allocation.
         let mut snap = ChipSnapshot::empty();
@@ -942,30 +961,22 @@ impl Coordinator {
         for _gpm_round in 0..n {
             // ---- Injection: budget transients + controller liveness ----
             let now = self.chip.time();
-            let mut round_budget = budget;
-            if let Some(seam) = &mut self.injection {
-                let scale = seam.budget_scale(now);
-                if scale != 1.0 {
-                    let mut scaled = Watts::new(budget.value() * scale);
-                    if let Manager::Cpm { gpm, .. } = &self.manager {
-                        // A transient below the idle floor is physically
-                        // unmeetable; clamp rather than panic mid-run.
-                        if scaled < gpm.floor() {
-                            scaled = gpm.floor();
-                        }
-                    }
-                    round_budget = scaled;
-                }
-                for (i, f) in island_failed.iter_mut().enumerate() {
-                    *f = seam.controller_failed(now, IslandId(i));
-                }
-                if let Manager::Cpm { gpm, .. } = &mut self.manager {
-                    if gpm.budget() != round_budget {
-                        gpm.set_budget(round_budget);
-                    }
-                    for (i, &f) in island_failed.iter().enumerate() {
-                        gpm.set_island_failed(IslandId(i), f);
-                    }
+            // A non-finite scale is a broken reading, not a budget: hold
+            // the nominal budget for the round.
+            let scale = self.injection.budget_scale(now);
+            let mut round_budget = if scale.is_finite() {
+                Watts::new(budget.value() * scale)
+            } else {
+                budget
+            };
+            if let Manager::Cpm { gpm, .. } = &mut self.manager {
+                // A transient below the idle floor is physically
+                // unmeetable; clamp rather than panic mid-run.
+                round_budget = round_budget.max(gpm.floor());
+                gpm.set_budget(round_budget);
+                for i in 0..islands {
+                    let id = IslandId(i);
+                    gpm.set_island_failed(id, self.injection.controller_failed(now, id));
                 }
             }
 
@@ -996,9 +1007,7 @@ impl Coordinator {
             }
 
             // ---- Tier 1: global provisioning ----
-            if let Some(p) = &mut self.profiler {
-                p.enter(ControlPhase::Decide);
-            }
+            self.profiler.enter(ControlPhase::Decide);
             match &mut self.manager {
                 Manager::Cpm { gpm, pics } => {
                     if have_feedback {
@@ -1007,7 +1016,7 @@ impl Coordinator {
                         // (skipped for islands whose controller is dead —
                         // there is nothing alive to trim).
                         for (i, pic) in pics.iter_mut().enumerate() {
-                            if island_failed[i] {
+                            if gpm.island_failed(IslandId(i)) {
                                 continue;
                             }
                             let k = pics_per_gpm as f64;
@@ -1039,70 +1048,69 @@ impl Coordinator {
                         pic.begin_round(round_no);
                     }
                 }
-                Manager::MaxBips { mb, static_table } => {
+                Manager::MaxBips {
+                    mb,
+                    static_table,
+                    plan,
+                } => {
                     if have_feedback {
-                        if static_table.is_none() {
-                            // One-time characterization pass: build the
-                            // static table from the first full interval.
-                            *static_table = Some(
-                                (0..islands)
-                                    .map(|i| {
-                                        let idx = self.chip.island_dvfs(IslandId(i));
-                                        // Characterized leakage at the
-                                        // island's voltage (hot reference).
-                                        let v = self.cfg.cmp.dvfs.point(idx).voltage;
-                                        let static_power = self.cfg.cmp.power.leakage.power(
-                                            v,
-                                            cpm_power::LeakageModel::HOT_REFERENCE,
-                                            self.chip.variation().multiplier(IslandId(i)),
-                                        ) * self.cfg.cmp.cores_per_island as f64;
-                                        MaxBipsObservation {
-                                            power: acc_power[i] / pics_per_gpm as f64,
-                                            static_power,
-                                            bips: acc_instr[i]
-                                                / self.cfg.cmp.gpm_interval.value()
-                                                / 1.0e9,
-                                            dvfs_index: idx,
-                                        }
-                                    })
-                                    .collect(),
-                            );
-                        }
-                        let combo = mb.choose(round_budget, static_table.as_ref().unwrap());
+                        // One-time characterization pass: build the static
+                        // table from the first full interval.
+                        let table = static_table.get_or_insert_with(|| {
+                            (0..islands)
+                                .map(|i| {
+                                    let idx = self.chip.island_dvfs(IslandId(i));
+                                    // Characterized leakage at the island's
+                                    // voltage (hot reference).
+                                    let v = self.cfg.cmp.dvfs.point(idx).voltage;
+                                    let static_power = self.cfg.cmp.power.leakage.power(
+                                        v,
+                                        cpm_power::LeakageModel::HOT_REFERENCE,
+                                        self.chip.variation().multiplier(IslandId(i)),
+                                    ) * self.cfg.cmp.cores_per_island as f64;
+                                    MaxBipsObservation {
+                                        power: acc_power[i] / pics_per_gpm as f64,
+                                        static_power,
+                                        bips: acc_instr[i]
+                                            / self.cfg.cmp.gpm_interval.value()
+                                            / 1.0e9,
+                                        dvfs_index: idx,
+                                    }
+                                })
+                                .collect()
+                        });
+                        let combo = match plan.take() {
+                            Some((b, combo)) if b == round_budget => combo,
+                            _ => mb.choose(round_budget, table),
+                        };
                         for (i, &requested) in combo.iter().enumerate() {
-                            let lvl = match &mut self.injection {
-                                Some(seam) => {
-                                    let cur = self.chip.island_dvfs(IslandId(i));
-                                    seam.filter_actuate(now, IslandId(i), requested, cur)
-                                }
-                                None => requested,
-                            };
+                            let id = IslandId(i);
+                            let current = self.chip.island_dvfs(id);
+                            let lvl = self.injection.filter_actuate(now, id, requested, current);
                             if record_provenance {
                                 // MaxBIPS actuates straight from the round
                                 // decision — no PIC in between — so the
                                 // actuation parents on the round span.
-                                let from = self.chip.island_dvfs(IslandId(i)) as u32;
                                 self.recorder.record(EventPayload::Actuation {
                                     span: SpanId::actuation(round_no, i as u32, 0).raw(),
                                     parent: SpanId::gpm_round(round_no).raw(),
                                     island: i as u32,
-                                    from_dvfs: from,
+                                    from_dvfs: current as u32,
                                     requested_dvfs: requested as u32,
                                     to_dvfs: lvl as u32,
                                     granted: lvl == requested,
                                 });
                             }
-                            self.chip.set_island_dvfs(IslandId(i), lvl);
+                            self.chip.set_island_dvfs(id, lvl);
                         }
+                        *plan = Some((round_budget, combo));
                     }
                     // Allocation bookkeeping for reporting: equal split.
                     self.alloc = vec![round_budget / islands as f64; islands];
                 }
                 Manager::None => {}
             }
-            if let Some(p) = &mut self.profiler {
-                p.exit(ControlPhase::Decide);
-            }
+            self.profiler.exit(ControlPhase::Decide);
 
             acc_power.fill(Watts::ZERO);
             acc_instr.fill(0.0);
@@ -1112,9 +1120,7 @@ impl Coordinator {
 
             // ---- Tier 2: local control, one PIC interval at a time ----
             for k in 0..pics_per_gpm {
-                if let Some(p) = &mut self.profiler {
-                    p.enter(ControlPhase::Sense);
-                }
+                self.profiler.enter(ControlPhase::Sense);
                 self.chip.step_pic_into(&mut snap);
                 let t = snap.time;
                 self.recorder.set_time(t.value());
@@ -1151,67 +1157,36 @@ impl Coordinator {
                 );
                 out.total_instructions += snap.instructions;
                 out.measured_time += snap.dt;
-                if let Some(p) = &mut self.profiler {
-                    p.exit(ControlPhase::Sense);
-                    p.enter(ControlPhase::Actuate);
-                }
+                self.profiler.exit(ControlPhase::Sense);
+                self.profiler.enter(ControlPhase::Actuate);
 
                 if let Manager::Cpm { pics, .. } = &mut self.manager {
-                    match &mut self.injection {
-                        None => {
-                            for (i, pic) in pics.iter_mut().enumerate() {
-                                let isl = &snap.islands[i];
-                                let idx = pic.invoke(isl.capacity_utilization, isl.power);
-                                if record_provenance {
-                                    // Un-faulted platform: the knob honors
-                                    // the request verbatim.
-                                    let from = self.chip.island_dvfs(IslandId(i)) as u32;
-                                    self.recorder.record(EventPayload::Actuation {
-                                        span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
-                                        parent: SpanId::pic_decision(round_no, i as u32, k as u32)
-                                            .raw(),
-                                        island: i as u32,
-                                        from_dvfs: from,
-                                        requested_dvfs: idx as u32,
-                                        to_dvfs: idx as u32,
-                                        granted: true,
-                                    });
-                                }
-                                self.chip.set_island_dvfs(IslandId(i), idx);
-                            }
+                    let seam = &mut self.injection;
+                    for (i, pic) in pics.iter_mut().enumerate() {
+                        let id = IslandId(i);
+                        if seam.controller_failed(t, id) {
+                            continue; // dead controller: knob holds
                         }
-                        Some(seam) => {
-                            for (i, pic) in pics.iter_mut().enumerate() {
-                                let id = IslandId(i);
-                                if seam.controller_failed(t, id) {
-                                    continue; // dead controller: knob holds
-                                }
-                                let isl = &snap.islands[i];
-                                let (u, p) =
-                                    seam.filter_sense(t, id, isl.capacity_utilization, isl.power);
-                                let requested = pic.invoke(u, p);
-                                let current = self.chip.island_dvfs(id);
-                                let idx = seam.filter_actuate(t, id, requested, current);
-                                if record_provenance {
-                                    self.recorder.record(EventPayload::Actuation {
-                                        span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
-                                        parent: SpanId::pic_decision(round_no, i as u32, k as u32)
-                                            .raw(),
-                                        island: i as u32,
-                                        from_dvfs: current as u32,
-                                        requested_dvfs: requested as u32,
-                                        to_dvfs: idx as u32,
-                                        granted: idx == requested,
-                                    });
-                                }
-                                self.chip.set_island_dvfs(id, idx);
-                            }
+                        let isl = &snap.islands[i];
+                        let (u, p) = seam.filter_sense(t, id, isl.capacity_utilization, isl.power);
+                        let requested = pic.invoke(u, p);
+                        let current = self.chip.island_dvfs(id);
+                        let idx = seam.filter_actuate(t, id, requested, current);
+                        if record_provenance {
+                            self.recorder.record(EventPayload::Actuation {
+                                span: SpanId::actuation(round_no, i as u32, k as u32).raw(),
+                                parent: SpanId::pic_decision(round_no, i as u32, k as u32).raw(),
+                                island: i as u32,
+                                from_dvfs: current as u32,
+                                requested_dvfs: requested as u32,
+                                to_dvfs: idx as u32,
+                                granted: idx == requested,
+                            });
                         }
+                        self.chip.set_island_dvfs(id, idx);
                     }
                 }
-                if let Some(p) = &mut self.profiler {
-                    p.exit(ControlPhase::Actuate);
-                }
+                self.profiler.exit(ControlPhase::Actuate);
             }
             have_feedback = true;
             self.prov_round += 1;
@@ -1219,12 +1194,10 @@ impl Coordinator {
 
         // Leave the GPM in its nominal state: an injection-scaled budget
         // or failover flag must not leak into a later measurement.
-        if self.injection.is_some() {
-            if let Manager::Cpm { gpm, .. } = &mut self.manager {
-                gpm.set_budget(budget);
-                for i in 0..islands {
-                    gpm.set_island_failed(IslandId(i), false);
-                }
+        if let Manager::Cpm { gpm, .. } = &mut self.manager {
+            gpm.set_budget(budget);
+            for i in 0..islands {
+                gpm.set_island_failed(IslandId(i), false);
             }
         }
 
@@ -1363,22 +1336,135 @@ mod tests {
         );
     }
 
-    #[test]
-    fn island_allocations_sum_to_budget() {
-        let out = quick(ExperimentConfig::paper_default(), 10);
-        // At each recorded instant the island targets sum to the budget.
-        let n = out.island_target_percent[0].len();
-        for k in 0..n {
-            let total: f64 = out
-                .island_target_percent
-                .iter()
-                .map(|ts| ts.samples()[k].value)
-                .sum();
+    /// A seam that scales the budget by `scale` and kills island `failed`
+    /// during the GPM rounds in `rounds`, counted by its once-per-round
+    /// `budget_scale` poll.
+    struct Window {
+        polls: usize,
+        rounds: std::ops::Range<usize>,
+        scale: f64,
+        failed: Option<usize>,
+    }
+
+    fn window(rounds: std::ops::Range<usize>, scale: f64, failed: Option<usize>) -> Box<Window> {
+        Box::new(Window {
+            polls: 0,
+            rounds,
+            scale,
+            failed,
+        })
+    }
+
+    impl InjectionSeam for Window {
+        fn budget_scale(&mut self, _time: Seconds) -> f64 {
+            self.polls += 1;
+            if self.rounds.contains(&(self.polls - 1)) {
+                self.scale
+            } else {
+                1.0
+            }
+        }
+
+        fn controller_failed(&mut self, _time: Seconds, island: IslandId) -> bool {
+            self.rounds.contains(&(self.polls - 1)) && self.failed == Some(island.index())
+        }
+    }
+
+    /// At each recorded instant `k` the island targets sum to `want(k)`
+    /// percent of the reference.
+    fn assert_targets_sum(out: &Outcome, want: impl Fn(usize) -> f64) {
+        for k in 0..out.island_target_percent[0].len() {
+            let targets = out.island_target_percent.iter();
+            let total: f64 = targets.map(|ts| ts.samples()[k].value).sum();
+            let want = want(k);
             assert!(
-                (total - out.budget_percent()).abs() < 0.5,
-                "t={k}: targets sum to {total}"
+                (total - want).abs() < 0.5,
+                "t={k}: targets sum to {total}, want {want}"
             );
         }
+    }
+
+    #[test]
+    fn island_allocations_sum_to_budget() {
+        let mut c = Coordinator::new(ExperimentConfig::paper_default()).unwrap();
+        let out = c.run_for_gpm_intervals(10);
+        assert_targets_sum(&out, |_| out.budget_percent());
+        // A faulted measurement (budget step, dead controller) must leave
+        // the GPM nominal for the next one.
+        c.set_injection(window(0..6, 0.7, Some(1)));
+        c.run_for_gpm_intervals(6);
+        let Manager::Cpm { gpm, .. } = &c.manager else {
+            unreachable!("paper default is a CPM run");
+        };
+        assert_eq!(gpm.budget(), c.budget());
+        assert!((0..4).all(|i| !gpm.island_failed(IslandId(i))));
+        c.set_injection(Box::new(NoInjection));
+        let out = c.run_for_gpm_intervals(6);
+        assert_targets_sum(&out, |_| out.budget_percent());
+    }
+
+    #[test]
+    fn budget_transients_hold_nominal_when_non_finite_and_clamp_to_the_floor() {
+        let c = Coordinator::new(ExperimentConfig::paper_default()).unwrap();
+        let floor: Watts = Coordinator::island_ranges(c.chip())
+            .iter()
+            .map(|r| r.floor)
+            .sum();
+        let floor_pct = floor.value() / c.reference_power().value() * 100.0;
+        for (scale, clamped) in [
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+            (f64::NEG_INFINITY, None),
+            (0.01, Some(floor_pct)),
+        ] {
+            let mut c = Coordinator::new(ExperimentConfig::paper_default()).unwrap();
+            c.set_injection(window(2..6, scale, None));
+            let out = c.run_for_gpm_intervals(8);
+            let in_window = |k: usize| (2..6).contains(&(k / out.pics_per_gpm));
+            assert_targets_sum(&out, |k| match clamped {
+                Some(pct) if in_window(k) => pct,
+                _ => out.budget_percent(),
+            });
+        }
+    }
+
+    #[test]
+    fn maxbips_replans_under_a_budget_step() {
+        let (from, to, n) = (8, 16, 24);
+        let cfg = ExperimentConfig::paper_default().with_scheme(ManagementScheme::MaxBips);
+        let mut c = Coordinator::new(cfg).unwrap();
+        c.set_injection(window(from..to, 0.6, None));
+        let out = c.run_for_gpm_intervals(n);
+        let per = out.pics_per_gpm;
+        // Sum of the island knob indices at each PIC sample of GPM rounds
+        // `rounds` (round 0 runs before the first plan).
+        let knobs = |rounds: std::ops::Range<usize>| -> Vec<f64> {
+            let samples = rounds.flat_map(|r| r * per..(r + 1) * per);
+            let sum = |k: usize| {
+                out.island_dvfs_index
+                    .iter()
+                    .map(|ts| ts.samples()[k].value)
+                    .sum()
+            };
+            samples.map(sum).collect()
+        };
+        let (before, inside, after) = (knobs(1..from), knobs(from..to), knobs(to..n));
+        assert!(
+            inside.iter().all(|&k| k < before[0]),
+            "knobs {inside:?} did not drop below {}",
+            before[0]
+        );
+        assert!(
+            before.iter().chain(&after).all(|&k| k == before[0]),
+            "knobs did not return to the nominal plan: {before:?} / {after:?}"
+        );
+        let window = &out.chip_power_percent.samples()[from * per..to * per];
+        let mean = window.iter().map(|s| s.value).sum::<f64>() / window.len() as f64;
+        let scaled = 0.6 * out.budget_percent();
+        assert!(
+            mean <= scaled + 1.0,
+            "MaxBIPS mean {mean} over the scaled budget {scaled}"
+        );
     }
 
     #[test]

@@ -68,19 +68,6 @@ pub struct MaxBips {
     /// textbook algorithm.
     safety_margin: f64,
     scratch: Scratch,
-    /// Memoized `(budget, observations) → result` of the last `choose`
-    /// call. The open-loop MaxBIPS manager re-evaluates an identical
-    /// static characterization table every GPM round, so after the first
-    /// round the search is a repeat; inputs are compared bit-exactly
-    /// (`f64 ==`), so a replay returns exactly what recomputation would.
-    last: Option<ChooseMemo>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct ChooseMemo {
-    budget: Watts,
-    observations: Vec<MaxBipsObservation>,
-    result: Vec<usize>,
 }
 
 impl MaxBips {
@@ -92,7 +79,6 @@ impl MaxBips {
             bin_watts: 0.1,
             safety_margin: 0.05,
             scratch: Scratch::default(),
-            last: None,
         }
     }
 
@@ -141,30 +127,11 @@ impl MaxBips {
     ///
     /// The prediction table and DP tables live in a scratch buffer reused
     /// across rounds (hence `&mut self`); once warm, the only allocation is
-    /// the island-sized result vector.
+    /// the island-sized result vector. Every call runs the search; a caller
+    /// whose table is static keeps the result (the coordinator re-plans
+    /// only when the round budget changes).
     pub fn choose(&mut self, budget: Watts, observations: &[MaxBipsObservation]) -> Vec<usize> {
         assert!(!observations.is_empty());
-        if let Some(m) = &self.last {
-            if m.budget == budget && m.observations == observations {
-                return m.result.clone();
-            }
-        }
-        let result = self.choose_uncached(budget, observations);
-        self.last = Some(ChooseMemo {
-            budget,
-            observations: observations.to_vec(),
-            result: result.clone(),
-        });
-        result
-    }
-
-    /// The memo-free search behind [`Self::choose`] — public so benches
-    /// measure the DP itself, not a memo replay.
-    pub fn choose_uncached(
-        &mut self,
-        budget: Watts,
-        observations: &[MaxBipsObservation],
-    ) -> Vec<usize> {
         let budget = budget * (1.0 - self.safety_margin);
         let n = observations.len();
         let levels = self.table.len();

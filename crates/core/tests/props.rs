@@ -218,13 +218,6 @@ fn maxbips_dp_matches_exhaustive_up_to_quantization() {
                 );
             }
         }
-
-        // The round-to-round memo must replay exactly what the search
-        // found: same inputs, bit-identical output.
-        let replay = mb.choose(budget, &obs);
-        assert_eq!(replay, dp, "memo replay diverged from the DP result");
-        let recomputed = mb.choose_uncached(budget, &obs);
-        assert_eq!(recomputed, dp, "memo result diverged from recomputation");
     });
 }
 
